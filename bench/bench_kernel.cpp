@@ -11,6 +11,7 @@
 #include "exp/sweep.h"
 #include "exp/testbed.h"
 #include "hw/cpu.h"
+#include "sim/distributions.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "soft/pool.h"
@@ -51,6 +52,41 @@ void BM_EventQueueDepth(benchmark::State& state) {
                           static_cast<int64_t>(depth));
 }
 BENCHMARK(BM_EventQueueDepth)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// The closed-loop shape of a RUBBoS trial: N idle sessions' think timers
+// (mean 70 s, the think_heavy think time) pending behind 20 short request
+// hops (mean 2 ms) that do almost all of the firing. Every fired event
+// re-arms its own class, so the pending mix stays at N far + 20 near and
+// one iteration is one dispatched event.
+class BimodalLoad {
+ public:
+  BimodalLoad(std::size_t far_timers, std::uint64_t seed) : rng_(seed) {
+    for (std::size_t i = 0; i < far_timers; ++i) arm_far();
+    for (int i = 0; i < 20; ++i) arm_near();
+  }
+  sim::Simulator& sim() { return sim_; }
+
+ private:
+  void arm_far() {
+    sim_.schedule(sim::fast_exponential(rng_, 70.0), [this] { arm_far(); });
+  }
+  void arm_near() {
+    sim_.schedule(sim::fast_exponential(rng_, 0.002), [this] { arm_near(); });
+  }
+  sim::Simulator sim_;
+  sim::Rng rng_;
+};
+
+void BM_EventQueueBimodal(benchmark::State& state) {
+  const auto far_timers = static_cast<std::size_t>(state.range(0));
+  // SOFTRES_LINT_ALLOW(SR004: seed from derive_seed)
+  BimodalLoad load(far_timers,
+                   exp::RunContext::derive_seed(1, exp::HardwareConfig{},
+                                                exp::SoftConfig{}, far_timers));
+  for (auto _ : state) benchmark::DoNotOptimize(load.sim().step());
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueBimodal)->Arg(0)->Arg(5000)->Arg(32000);
 
 void BM_CpuProcessorSharing(benchmark::State& state) {
   const auto concurrency = static_cast<int>(state.range(0));

@@ -24,8 +24,20 @@
 using namespace softres;
 
 int main(int argc, char** argv) {
-  const std::size_t users =
-      argc > 1 ? static_cast<std::size_t>(std::atoi(argv[1])) : 6000;
+  std::size_t users = 6000;
+  if (argc > 1) {
+    // A positive decimal count; "-5" must not wrap through size_t.
+    char* end = nullptr;
+    const long long v = std::strtoll(argv[1], &end, 10);
+    if (end == argv[1] || *end != '\0' || v < 1) {
+      std::cerr << "quickstart: users must be a positive integer, got '"
+                << argv[1] << "'\n"
+                << "Usage: quickstart [users] [hw e.g. 1/2/1/2]"
+                   " [soft e.g. 400-150-60]\n";
+      return 2;
+    }
+    users = static_cast<std::size_t>(v);
+  }
   exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
   cfg.hw = argc > 2 ? exp::HardwareConfig::parse(argv[2])
                     : exp::HardwareConfig{1, 2, 1, 2};

@@ -1,8 +1,11 @@
 #include "exp/experiment.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "exp/run_context.h"
@@ -11,6 +14,16 @@
 #include "soft/pool_monitor.h"
 
 namespace softres::exp {
+
+namespace {
+
+[[noreturn]] void bad_env(const char* knob, const char* value,
+                          const char* expected) {
+  throw std::invalid_argument(std::string(knob) + "='" + value +
+                              "': expected " + expected);
+}
+
+}  // namespace
 
 ExperimentOptions ExperimentOptions::from_env() {
   ExperimentOptions opts;
@@ -21,13 +34,26 @@ ExperimentOptions ExperimentOptions::from_env() {
     opts.client.ramp_down_s = 30.0;
   }
   if (const char* rate = std::getenv("SOFTRES_TRACE_RATE")) {
-    opts.client.trace_sample_rate = std::atof(rate);
+    char* end = nullptr;
+    const double v = std::strtod(rate, &end);
+    // The negated range test also rejects nan.
+    if (end == rate || *end != '\0' || !(v >= 0.0 && v <= 1.0)) {
+      bad_env("SOFTRES_TRACE_RATE", rate, "a sample rate in [0, 1]");
+    }
+    opts.client.trace_sample_rate = v;
   }
   // Base seed of the seed-derivation chain: every trial stream hashes off
   // this via RunContext::derive_seed, so one env switch re-seeds every bench
   // and example without touching the per-trial identity hashing.
   if (const char* seed = std::getenv("SOFTRES_SEED")) {
-    opts.client.seed = std::strtoull(seed, nullptr, 10);
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(seed, &end, 10);
+    // strtoull skips blanks and wraps a leading '-'; demand plain digits.
+    if (seed[0] < '0' || seed[0] > '9' || *end != '\0' || errno == ERANGE) {
+      bad_env("SOFTRES_SEED", seed, "an unsigned 64-bit integer");
+    }
+    opts.client.seed = v;
   }
   if (const char* report = std::getenv("SOFTRES_REPORT_HTML")) {
     opts.report_html = report;

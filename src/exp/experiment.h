@@ -20,7 +20,9 @@ namespace softres::exp {
 /// Trial durations and SLA policy. `from_env()` honours SOFTRES_FULL=1 by
 /// switching to the paper's 8 min ramp-up / 12 min runtime schedule, and
 /// SOFTRES_SEED=<n> as the base seed of the RunContext::derive_seed chain
-/// (the one sanctioned way to re-seed benches and examples).
+/// (the one sanctioned way to re-seed benches and examples). A malformed
+/// SOFTRES_SEED or SOFTRES_TRACE_RATE (not in [0, 1]) throws
+/// std::invalid_argument naming the variable.
 struct ExperimentOptions {
   workload::ClientConfig client;   // users is overridden per run
   double sla_threshold_s = 2.0;    // reporting default, as in the paper

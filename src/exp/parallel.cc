@@ -1,13 +1,22 @@
 #include "exp/parallel.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <stdexcept>
+#include <string>
 
 namespace softres::exp {
 
 std::size_t ParallelExecutor::default_jobs() {
   if (const char* env = std::getenv("SOFTRES_JOBS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<std::size_t>(v);
+    char* end = nullptr;
+    errno = 0;
+    const long v = std::strtol(env, &end, 10);
+    if (end == env || *end != '\0' || errno == ERANGE || v < 1) {
+      throw std::invalid_argument(std::string("SOFTRES_JOBS='") + env +
+                                  "': expected a positive integer");
+    }
+    return static_cast<std::size_t>(v);
   }
   const unsigned hc = std::thread::hardware_concurrency();
   return hc >= 1 ? hc : 1;

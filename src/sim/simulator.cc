@@ -14,7 +14,7 @@ bool Simulator::cancel(EventHandle h) {
   // erased via the index->position map and the record recycles immediately
   // (the generation bump retires every outstanding handle to it).
   if (r->gen != h.gen_ || r->live_seq == 0) return false;
-  queue_.erase(r->idx);
+  tier_of(r).erase(r->idx);
   r->live_seq = 0;
   release(r);
   return true;
@@ -31,17 +31,20 @@ bool Simulator::reschedule_at(EventHandle h, SimTime t) {
   // Re-key the record's one pending entry in place — no callback move, no
   // record churn, no superseded entry left behind; the heap sift is a level
   // or two since due times only drift. Fresh seq: the moved event fires in
-  // FIFO order as if scheduled now.
+  // FIFO order as if scheduled now. The entry stays in its tier: only the
+  // pop order matters, and that is the same whichever heap holds it.
   const std::uint64_t seq = next_seq_++;
   assert(seq < (std::uint64_t{1} << (64 - kIdxBits)));
   r->live_seq = seq;
-  queue_.update(r->idx, {t < now_ ? now_ : t, (seq << kIdxBits) | r->idx});
+  tier_of(r).update(r->idx,
+                    {t < now_ ? now_ : t, (seq << kIdxBits) | r->idx});
   return true;
 }
 
 bool Simulator::step() {
-  if (queue_.empty()) return false;
-  dispatch(queue_.pop());
+  EventQueue* tier = next_tier();
+  if (tier == nullptr) return false;
+  dispatch(*tier, tier->pop());
   return true;
 }
 
@@ -52,10 +55,12 @@ void Simulator::run(std::uint64_t limit) {
 }
 
 void Simulator::run_until(SimTime t) {
-  // The cached top bounds every pending entry (heap minimum), so stopping
-  // at the first top with time > t is exact.
-  while (!queue_.empty() && queue_.top().time <= t) {
-    dispatch(queue_.pop());
+  // The earlier of the two cached tops bounds every pending entry, so
+  // stopping at the first one with time > t is exact.
+  for (;;) {
+    EventQueue* tier = next_tier();
+    if (tier == nullptr || tier->top().time > t) break;
+    dispatch(*tier, tier->pop());
   }
   if (t > now_) now_ = t;
 }

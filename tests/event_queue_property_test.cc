@@ -6,11 +6,15 @@
 // same-instant tie-break, and the eager in-place re-key/erase paths
 // (EventQueue::update / EventQueue::erase plus the index->position map
 // behind them) are observationally identical to remove-and-reinsert.
+// The simulator keeps its pending set in two queues (near and far tiers);
+// the last test mixes both delay classes so every op crosses that split.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -217,6 +221,164 @@ TEST(SimulatorSchedulingPropertyTest, RandomCancelRescheduleMatchesModel) {
     EXPECT_EQ(fired[i], model[i].second) << "position " << i;
   }
 }
+
+// Two-tier version of the simulator property: a near class (0-7 ticks of
+// 1/1024 s, coarse so ties are common) mixed with a far class (10-1000 s)
+// puts entries in both of the simulator's tiers. Every op is checked at
+// once against an ordered-set oracle: run_until() must fire exactly the
+// oracle's entries with time <= t in (time, seq) order, and
+// events_pending() must equal the oracle's size. Tick-grid times are
+// dyadic, so sums stay exact and the deliberate same-instant ties between
+// a near and a far entry really are ties. cancel()/reschedule() must leave
+// a record in the tier it was routed to, even when the new delay belongs
+// to the other class.
+class SimulatorTwoTierPropertyTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SimulatorTwoTierPropertyTest, MixedNearFarOpsMatchOracle) {
+  constexpr double kTick = 1.0 / 1024.0;
+  Simulator sim;
+  Rng rng(GetParam());
+
+  struct Live {
+    int id;
+    double time;
+    std::uint64_t seq;
+    EventHandle handle;
+    bool far;
+  };
+  std::vector<Live> live;
+  std::set<std::tuple<double, std::uint64_t, int>> oracle;
+  std::vector<EventHandle> stale;
+  std::vector<int> fired;
+  std::uint64_t seq = 1;
+  int next_id = 0;
+  int near_routed = 0, far_routed = 0, cross_tier_ties = 0;
+
+  const auto near_delay = [&rng] {
+    return kTick * static_cast<double>(rng.uniform_int(0, 7));
+  };
+  const auto far_delay = [&rng] {
+    return static_cast<double>(rng.uniform_int(10, 1000));
+  };
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto find_live = [&live](int id) {
+    return std::find_if(live.begin(), live.end(),
+                        [id](const Live& l) { return l.id == id; });
+  };
+  const auto schedule = [&](double delay) {
+    const int id = next_id++;
+    const std::size_t far_before = sim.events_pending_far();
+    const EventHandle h =
+        sim.schedule(delay, [id, &fired] { fired.push_back(id); });
+    const bool far = sim.events_pending_far() == far_before + 1;
+    (far ? far_routed : near_routed)++;
+    live.push_back({id, sim.now() + delay, seq, h, far});
+    oracle.insert({sim.now() + delay, seq++, id});
+    return live.back();
+  };
+  // Reschedule `l` to absolute time t; its tier must not change.
+  const auto move_to = [&](Live& l, double t) {
+    const std::size_t far_before = sim.events_pending_far();
+    ASSERT_TRUE(sim.reschedule_at(l.handle, t));
+    ASSERT_EQ(sim.events_pending_far(), far_before);
+    oracle.erase({l.time, l.seq, l.id});
+    l.time = t;
+    l.seq = seq++;
+    oracle.insert({l.time, l.seq, l.id});
+  };
+  const auto run_until = [&](double t) {
+    fired.clear();
+    sim.run_until(t);
+    std::vector<int> want;
+    while (!oracle.empty() && std::get<0>(*oracle.begin()) <= t) {
+      const int id = std::get<2>(*oracle.begin());
+      oracle.erase(oracle.begin());
+      want.push_back(id);
+      const auto it = find_live(id);
+      stale.push_back(it->handle);
+      live.erase(it);
+    }
+    ASSERT_EQ(fired, want);
+    ASSERT_EQ(sim.now(), t);
+  };
+  const auto live_in_tier = [&](bool far) -> Live* {
+    std::vector<Live*> in_tier;
+    for (Live& l : live) {
+      if (l.far == far) in_tier.push_back(&l);
+    }
+    return in_tier.empty() ? nullptr : in_tier[pick(in_tier.size())];
+  };
+
+  for (int op = 0; op < 6000; ++op) {
+    const auto what = rng.uniform_int(0, 11);
+    if (what < 3) {
+      schedule(near_delay());
+    } else if (what < 4) {
+      schedule(far_delay());
+    } else if (what < 5 && !live.empty()) {  // cancel
+      const std::size_t i = pick(live.size());
+      const std::size_t far_before = sim.events_pending_far();
+      ASSERT_TRUE(sim.cancel(live[i].handle));
+      ASSERT_EQ(sim.events_pending_far(), far_before - (live[i].far ? 1 : 0));
+      oracle.erase({live[i].time, live[i].seq, live[i].id});
+      stale.push_back(live[i].handle);
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (what < 7 && !live.empty()) {
+      // Reschedule with a delay of the *other* class: a far-tier record
+      // moves to within a few ticks, a near-tier one out by minutes.
+      Live& l = live[pick(live.size())];
+      move_to(l, sim.now() + (l.far ? near_delay() : far_delay()));
+    } else if (what < 8) {
+      // Same-instant tie, far entry first: run up to a few ticks before a
+      // far-tier entry, then schedule a near one onto its exact instant.
+      if (Live* f = live_in_tier(true)) {
+        const double k = static_cast<double>(rng.uniform_int(0, 7));
+        const double t = f->time;
+        if (t - k * kTick > sim.now()) run_until(t - k * kTick);
+        const Live n = schedule(t - sim.now());
+        if (!n.far) ++cross_tier_ties;
+      }
+    } else if (what < 9) {
+      // Same-instant tie, near entry first: re-key a far-tier record onto
+      // a near-tier record's instant; its fresh seq makes it fire second.
+      Live* n = live_in_tier(false);
+      Live* f = live_in_tier(true);
+      if (n != nullptr && f != nullptr) {
+        move_to(*f, n->time);
+        ++cross_tier_ties;
+      }
+    } else if (what < 10 && !stale.empty()) {
+      // A fired or cancelled handle must be refused by either tier.
+      const EventHandle h = stale[pick(stale.size())];
+      ASSERT_FALSE(sim.cancel(h));
+      ASSERT_FALSE(sim.reschedule(h, near_delay()));
+    } else if (what < 11 && !oracle.empty()) {
+      // Boundary: stop exactly on the earliest pending instant.
+      run_until(std::get<0>(*oracle.begin()));
+    } else {
+      run_until(sim.now() + near_delay());
+    }
+    ASSERT_EQ(sim.events_pending(), oracle.size()) << "op " << op;
+  }
+
+  fired.clear();
+  sim.run();
+  std::vector<int> want;
+  for (const auto& e : oracle) want.push_back(std::get<2>(e));
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(sim.events_pending(), 0u);
+  // The mix really exercised both tiers and ties across them.
+  EXPECT_GT(near_routed, 500);
+  EXPECT_GT(far_routed, 100);
+  EXPECT_GT(cross_tier_ties, 100);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorTwoTierPropertyTest,
+                         ::testing::Values(0x7135ull, 0x7136ull, 0x7137ull));
 
 }  // namespace
 }  // namespace softres::sim

@@ -106,14 +106,38 @@ TEST(ParallelExecutorTest, DefaultJobsHonoursEnvironment) {
   EXPECT_EQ(ParallelExecutor::default_jobs(), 3u);
   EXPECT_EQ(ParallelExecutor(0).jobs(), 3u);
 
-  // Garbage and non-positive values fall through to hardware_concurrency.
-  ::setenv("SOFTRES_JOBS", "0", 1);
-  EXPECT_GE(ParallelExecutor::default_jobs(), 1u);
-  ::setenv("SOFTRES_JOBS", "not-a-number", 1);
-  EXPECT_GE(ParallelExecutor::default_jobs(), 1u);
-
   ::unsetenv("SOFTRES_JOBS");
   EXPECT_GE(ParallelExecutor::default_jobs(), 1u);
+}
+
+// default_jobs() with SOFTRES_JOBS=`value`; returns the exception message.
+std::string default_jobs_error(const char* value) {
+  ::setenv("SOFTRES_JOBS", value, 1);
+  std::string what;
+  try {
+    ParallelExecutor::default_jobs();
+  } catch (const std::invalid_argument& e) {
+    what = e.what();
+  }
+  ::unsetenv("SOFTRES_JOBS");
+  return what;
+}
+
+TEST(ParallelExecutorTest, DefaultJobsRejectsNonNumericEnvironment) {
+  for (const char* bad : {"abc", "not-a-number", "", "4x", "2.5"}) {
+    EXPECT_NE(default_jobs_error(bad).find("SOFTRES_JOBS"), std::string::npos)
+        << bad;
+  }
+}
+
+TEST(ParallelExecutorTest, DefaultJobsRejectsNonPositiveEnvironment) {
+  for (const char* bad : {"0", "-1", "-4"}) {
+    EXPECT_NE(default_jobs_error(bad).find("SOFTRES_JOBS"), std::string::npos)
+        << bad;
+  }
+  ::setenv("SOFTRES_JOBS", "0", 1);
+  EXPECT_THROW(ParallelExecutor{0}, std::invalid_argument);
+  ::unsetenv("SOFTRES_JOBS");
 }
 
 TEST(ParallelExecutorTest, ExplicitJobsBeatsEnvironment) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <stdexcept>
+#include <string>
+
 #include "exp/experiment.h"
 
 namespace softres::exp {
@@ -158,6 +162,57 @@ TEST(ExperimentOptionsTest, FromEnvHonoursFullFlag) {
   const ExperimentOptions quick = ExperimentOptions::from_env();
   EXPECT_NEAR(full.client.runtime_s, 720.0, 1e-9);
   EXPECT_LT(quick.client.runtime_s, full.client.runtime_s);
+}
+
+// from_env() with `knob` set to `value`, unset again afterwards; returns the
+// exception message, or "" when the value was accepted.
+std::string from_env_error(const char* knob, const char* value) {
+  ::setenv(knob, value, 1);
+  std::string what;
+  try {
+    ExperimentOptions::from_env();
+  } catch (const std::invalid_argument& e) {
+    what = e.what();
+  }
+  ::unsetenv(knob);
+  return what;
+}
+
+TEST(ExperimentOptionsTest, FromEnvParsesSeedAndTraceRate) {
+  ::setenv("SOFTRES_SEED", "18446744073709551615", 1);
+  ::setenv("SOFTRES_TRACE_RATE", "0.25", 1);
+  const ExperimentOptions opts = ExperimentOptions::from_env();
+  ::unsetenv("SOFTRES_SEED");
+  ::unsetenv("SOFTRES_TRACE_RATE");
+  EXPECT_EQ(opts.client.seed, 18446744073709551615ull);
+  EXPECT_EQ(opts.trace_sample_rate(), 0.25);
+  EXPECT_EQ(from_env_error("SOFTRES_TRACE_RATE", "0"), "");
+  EXPECT_EQ(from_env_error("SOFTRES_TRACE_RATE", "1"), "");
+}
+
+TEST(ExperimentOptionsTest, FromEnvRejectsNonNumericSeed) {
+  // strtoull alone would read each of these as some seed, often 0.
+  for (const char* bad : {"xyz", "", "12abc", "-5", " 7", "1e3"}) {
+    const std::string what = from_env_error("SOFTRES_SEED", bad);
+    EXPECT_NE(what.find("SOFTRES_SEED"), std::string::npos) << bad;
+  }
+  EXPECT_NE(from_env_error("SOFTRES_SEED", "18446744073709551616")
+                .find("SOFTRES_SEED"),
+            std::string::npos);
+}
+
+TEST(ExperimentOptionsTest, FromEnvRejectsTraceRateOutsideUnitInterval) {
+  for (const char* bad : {"1.5", "-0.1", "2", "inf"}) {
+    const std::string what = from_env_error("SOFTRES_TRACE_RATE", bad);
+    EXPECT_NE(what.find("SOFTRES_TRACE_RATE"), std::string::npos) << bad;
+  }
+}
+
+TEST(ExperimentOptionsTest, FromEnvRejectsNanOrGarbageTraceRate) {
+  for (const char* bad : {"nan", "NaN", "abc", "", "0.5x"}) {
+    const std::string what = from_env_error("SOFTRES_TRACE_RATE", bad);
+    EXPECT_NE(what.find("SOFTRES_TRACE_RATE"), std::string::npos) << bad;
+  }
 }
 
 }  // namespace
