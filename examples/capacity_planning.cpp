@@ -27,8 +27,22 @@ int main(int argc, char** argv) {
                     : exp::HardwareConfig{1, 2, 1, 2};
   const exp::SoftConfig soft = argc > 2 ? exp::SoftConfig::parse(argv[2])
                                         : exp::SoftConfig{400, 15, 60};
-  const std::size_t max_wl =
-      argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 7000;
+  std::size_t max_wl = 7000;
+  if (argc > 3) {
+    // A positive decimal count; "-5" must not wrap through size_t.
+    char* end = nullptr;
+    const long long v = std::strtoll(argv[3], &end, 10);
+    if (end == argv[3] || *end != '\0' || v < 1) {
+      std::cerr << "capacity_planning: max_workload must be a positive "
+                   "integer, got '"
+                << argv[3] << "'\n"
+                << "Usage: capacity_planning [hw e.g. 1/2/1/2] [soft e.g. "
+                   "400-15-60] [max_workload] [sla_threshold_s] "
+                   "[base_seed]\n";
+      return 2;
+    }
+    max_wl = static_cast<std::size_t>(v);
+  }
   const double threshold = argc > 4 ? std::atof(argv[4]) : 1.0;
 
   exp::ExperimentOptions opts = exp::ExperimentOptions::from_env();

@@ -316,12 +316,16 @@ RunResult Experiment::run(const SoftConfig& soft, std::size_t users) const {
           obs::ReportMeta::ResizeMark{act.at, act.pool, act.from, act.to});
     }
     const obs::LatencyBreakdown breakdown = ctx.traces().breakdown();
-    obs::write_flight_recorder_html(
-        report_path(opts_.report_html, soft, users), meta, bed.timeline(),
-        r.diagnosis, breakdown.rows.empty() ? nullptr : &breakdown,
-        r.profile.enabled ? &r.profile : nullptr,
-        r.tail.empty() ? nullptr : &r.tail,
-        r.tail.empty() ? nullptr : &ctx.traces());
+    const std::string path = report_path(opts_.report_html, soft, users);
+    if (!obs::write_flight_recorder_html(
+            path, meta, bed.timeline(), r.diagnosis,
+            breakdown.rows.empty() ? nullptr : &breakdown,
+            r.profile.enabled ? &r.profile : nullptr,
+            r.tail.empty() ? nullptr : &r.tail,
+            r.tail.empty() ? nullptr : &ctx.traces())) {
+      throw std::runtime_error("SOFTRES_REPORT_HTML: cannot write report '" +
+                               path + "'");
+    }
   }
 
   r.traces = std::move(ctx.traces());

@@ -56,7 +56,8 @@ struct ExperimentOptions {
   /// When non-empty, every trial writes a flight-recorder HTML report; the
   /// trial's soft allocation and workload are folded into the file name
   /// ("out.html" -> "out_s400-6-60_u6200.html"). from_env() reads it from
-  /// SOFTRES_REPORT_HTML.
+  /// SOFTRES_REPORT_HTML. A report that cannot be written makes run() throw
+  /// std::runtime_error naming the knob and the path.
   std::string report_html;
 
   static ExperimentOptions from_env();

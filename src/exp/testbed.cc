@@ -95,7 +95,7 @@ void Testbed::build(const workload::ClientConfig& client_cfg) {
 
   // Uniform soft-resource surface: every tier registers its live-resizable
   // pools (and tier-local consistency hooks) through the one virtual hook;
-  // controllers (AdaptiveTuner, core::Governor) only ever see this set.
+  // controllers (core::Governor) only ever see this set.
   // Registration order — web, app, middleware, db — is deterministic.
   for (auto& a : apaches_) a->register_soft_resources(pool_set_);
   for (auto& t : tomcats_) t->register_soft_resources(pool_set_);
@@ -244,8 +244,8 @@ void Testbed::sync_cjdbc_upstreams() {
 }
 
 double Testbed::governor_tick(sim::SimTime now) {
-  // Hottest backend CPU over the last tick: the growth-guard input. Same
-  // busy-core differentiation the AdaptiveTuner uses for its guard.
+  // Hottest backend CPU over the last tick: the growth-guard input, busy
+  // core-seconds differenced over the tick.
   const double dt = now - governor_prev_tick_;
   governor_prev_tick_ = now;
   double max_cpu_pct = 0.0;

@@ -57,7 +57,8 @@ struct EvidenceWindow {
   double duration() const { return to - from; }
 };
 
-/// Machine-consumable remediation hint (exp::AdaptiveTuner's hint channel).
+/// Machine-consumable remediation hint (the governor's advice channel: the
+/// testbed translates it into core::GovernorAdvice every control tick).
 struct SuggestedAction {
   enum class Kind { kNone, kGrowPool, kShrinkPool, kAddHardware };
   Kind kind = Kind::kNone;
@@ -158,7 +159,7 @@ class Diagnoser {
   void observe(sim::SimTime now);
 
   /// The verdict over everything observed so far. Cheap enough to call every
-  /// control interval (the AdaptiveTuner hint channel does).
+  /// control tick (the testbed's governor advice channel does).
   Diagnosis diagnosis() const;
 
   /// Pathology the running evidence currently points at (diagnosis() minus

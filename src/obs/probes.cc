@@ -18,7 +18,7 @@ struct DeltaState {
 };
 
 /// Differentiate a cumulative core-seconds counter into percent utilization
-/// over the sampling interval (the SysStat convention, as in hw::Monitor).
+/// over the sampling interval (the SysStat convention).
 template <typename Getter>
 Registry::Source make_rate_source(const hw::Cpu& cpu, Getter get) {
   auto state = std::make_shared<DeltaState>();

@@ -32,8 +32,8 @@ class Server {
 
   /// Register this server's live-resizable soft resources (pools plus any
   /// consistency hooks, e.g. JVM live-thread sync) with the testbed-wide
-  /// set. The uniform hook every tier exposes so controllers (AdaptiveTuner,
-  /// core::Governor) never reach into tier-specific accessors. Default: the
+  /// set. The uniform hook every tier exposes so controllers
+  /// (core::Governor) never reach into tier-specific accessors. Default: the
   /// server owns no resizable pools.
   virtual void register_soft_resources(soft::ResizablePoolSet&) {}
 

@@ -4,8 +4,9 @@
 
 #include "hw/disk.h"
 #include "hw/link.h"
-#include "hw/monitor.h"
 #include "hw/node.h"
+#include "obs/probes.h"
+#include "obs/registry.h"
 #include "sim/sampler.h"
 #include "sim/simulator.h"
 
@@ -108,18 +109,25 @@ TEST(NodeTest, ProvidesCpuAndDisk) {
   EXPECT_TRUE(disk_done);
 }
 
+// SysStat-style monitoring goes through the obs adapters: a node's probes
+// registered on an obs::Registry, sampled by attaching it to a sim::Sampler.
 TEST(MonitorTest, CpuUtilProbeMeasuresBusyFraction) {
   sim::Simulator sim;
-  Cpu cpu(sim, "c", 1);
+  NodeSpec spec;
+  spec.context_switch_coeff = 0.0;
+  Node node(sim, "c", spec, sim::Rng(1));
+  Cpu& cpu = node.cpu();
+  obs::Registry registry;
+  obs::register_cpu_util(registry, node);
   sim::Sampler sampler(sim, 1.0);
-  add_cpu_util_probe(sampler, "c.util", cpu);
+  registry.attach(sampler);
   sampler.start();
   // Busy exactly [0, 0.5] each period via repeated submissions.
   for (int t = 0; t < 4; ++t) {
     sim.schedule(t * 1.0, [&] { cpu.submit(0.5, [] {}); });
   }
   sim.run_until(4.0);
-  const sim::TimeSeries* s = sampler.find("c.util");
+  const sim::TimeSeries* s = sampler.find("c.cpu");
   ASSERT_NE(s, nullptr);
   ASSERT_EQ(s->size(), 4u);
   for (double v : s->values) EXPECT_NEAR(v, 50.0, 1.0);
@@ -127,28 +135,22 @@ TEST(MonitorTest, CpuUtilProbeMeasuresBusyFraction) {
 
 TEST(MonitorTest, GcUtilProbeIsolatesFreezeShare) {
   sim::Simulator sim;
-  Cpu cpu(sim, "c", 1);
+  NodeSpec spec;
+  spec.context_switch_coeff = 0.0;
+  Node node(sim, "c", spec, sim::Rng(1));
+  Cpu& cpu = node.cpu();
+  obs::Registry registry;
+  obs::register_gc_util(registry, "c", cpu);
   sim::Sampler sampler(sim, 1.0);
-  add_gc_util_probe(sampler, "c.gc", cpu);
+  registry.attach(sampler);
   sampler.start();
   sim.schedule(0.2, [&] { cpu.freeze(0.3); });
   sim.run_until(2.0);
   const sim::TimeSeries* s = sampler.find("c.gc");
+  ASSERT_NE(s, nullptr);
   ASSERT_EQ(s->size(), 2u);
   EXPECT_NEAR(s->values[0], 30.0, 1.0);
   EXPECT_NEAR(s->values[1], 0.0, 1e-9);
-}
-
-TEST(MonitorTest, LoadProbeCountsResidentJobs) {
-  sim::Simulator sim;
-  Cpu cpu(sim, "c", 1);
-  sim::Sampler sampler(sim, 1.0);
-  add_cpu_load_probe(sampler, "c.load", cpu);
-  sampler.start();
-  cpu.submit(10.0, [] {});
-  cpu.submit(10.0, [] {});
-  sim.run_until(1.0);
-  EXPECT_EQ(sampler.find("c.load")->values[0], 2.0);
 }
 
 }  // namespace

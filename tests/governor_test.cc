@@ -4,8 +4,10 @@
 //  * load-shape unit tests (pure schedule generators);
 //  * scenario acceptance tests on the full testbed: stationary convergence
 //    to within one resize step of the static optimum, flash-crowd goodput
-//    strictly above the best static allocation, JVM thread-count sync, and
-//    bit-identical governed sweeps at jobs=1 vs jobs=4.
+//    strictly above the best static allocation, a liberal start beating
+//    its static twin on an elastic profile, the global min/max pool clamp,
+//    JVM thread-count sync, and bit-identical governed sweeps at jobs=1 vs
+//    jobs=4.
 
 #include "core/governor.h"
 
@@ -21,6 +23,7 @@
 #include "exp/run_context.h"
 #include "exp/sweep.h"
 #include "exp/testbed.h"
+#include "metrics/sla.h"
 #include "sim/simulator.h"
 #include "soft/pool.h"
 #include "soft/pool_set.h"
@@ -186,6 +189,24 @@ TEST(GovernorTest, ShrinksIdlePoolDownToFloor) {
   // Demand target ceil(1.3 * 4) = 6 is below the floor; the floor wins.
   EXPECT_EQ(pool.capacity(), 8u);
   for (const auto& a : gov.actions()) EXPECT_GE(a.to, 8u);
+}
+
+TEST(GovernorTest, GrowthStopsAtGlobalMaxPool) {
+  sim::Simulator sim;
+  soft::Pool pool(sim, "tomcat0.threads", 4);
+  for (int i = 0; i < 40; ++i) pool.acquire([] {});
+  soft::ResizablePoolSet set;
+  set.add(pool, soft::PoolRole::kAppThreads);
+  GovernorConfig cfg = relaxed_config();
+  cfg.max_pool = 16;
+  Governor gov(cfg, set);
+  for (int t = 1; t <= 60; ++t) {
+    advance_to(sim, static_cast<double>(t));
+    gov.tick(static_cast<double>(t), 0.0, GovernorAdvice{});
+  }
+  // Demand target ceil(1.3 * 40) = 52 is above the clamp; the clamp wins.
+  EXPECT_EQ(pool.capacity(), 16u);
+  for (const auto& a : gov.actions()) EXPECT_LE(a.to, 16u);
 }
 
 // ---- Load shapes: pure schedule generators ----
@@ -357,6 +378,70 @@ TEST(GovernorScenarioTest, KeepsJvmThreadCountsInSync) {
   // The capacity gauge reached the timeline: resizes are visible to the
   // diagnoser and the flight recorder (satellite: pool_capacity lane).
   EXPECT_NE(bed.diagnoser().capacity_window("tomcat0.threads"), nullptr);
+}
+
+// On a bursty profile, governing a liberal start must beat staying liberal
+// (the GC tax of 200 idle threads per Tomcat is what it sheds). The governor
+// is not part of the trial seed, so both runs draw the same random streams
+// and differ only by control.
+TEST(GovernorScenarioTest, ImprovesOverAllocatedElasticRun) {
+  auto run_once = [](bool governed) {
+    e::TestbedConfig cfg = e::TestbedConfig::defaults();
+    cfg.hw = e::HardwareConfig{1, 4, 1, 4};
+    cfg.soft = e::SoftConfig{400, 200, 200};
+    workload::ClientConfig client;
+    client.users = 7000;
+    client.ramp_up_s = 5.0;
+    client.runtime_s = 150.0;
+    client.ramp_down_s = 2.0;
+    GovernorConfig gc;
+    gc.enabled = governed;
+    e::RunContext ctx(client.seed, cfg, client.users, gc);
+    e::Testbed bed(ctx, cfg, client);
+    bed.farm().set_load_schedule({{0.0, 2500}, {60.0, 7000}, {110.0, 4000}});
+    bed.run();
+    if (governed) {
+      EXPECT_FALSE(bed.governor()->actions().empty());
+    }
+    return metrics::SlaModel(1.0)
+        .split(bed.farm().response_times(), client.runtime_s)
+        .goodput;
+  };
+  const double static_goodput = run_once(false);
+  const double governed_goodput = run_once(true);
+  EXPECT_GT(governed_goodput, static_goodput * 1.02)
+      << "governed " << governed_goodput << " vs static " << static_goodput;
+}
+
+// The global min_pool/max_pool clamp bounds every resize, on top of each
+// pool's own floor and ceiling: a nearly idle, over-allocated rig shrinks
+// only down to min_pool, and no pool is ever sized above max_pool.
+TEST(GovernorScenarioTest, RespectsGlobalPoolBounds) {
+  e::TestbedConfig cfg = e::TestbedConfig::defaults();
+  cfg.soft = e::SoftConfig{400, 200, 200};
+  workload::ClientConfig client;
+  client.users = 300;
+  client.ramp_up_s = 5.0;
+  client.runtime_s = 90.0;
+  client.ramp_down_s = 2.0;
+  GovernorConfig gc;
+  gc.enabled = true;
+  gc.min_pool = 8;
+  gc.max_pool = 64;
+  e::RunContext ctx(client.seed, cfg, client.users, gc);
+  e::Testbed bed(ctx, cfg, client);
+  bed.run();
+
+  ASSERT_NE(bed.governor(), nullptr);
+  ASSERT_FALSE(bed.governor()->actions().empty());
+  for (const auto& a : bed.governor()->actions()) {
+    EXPECT_GE(a.to, 8u) << a.pool;
+    EXPECT_LE(a.to, 64u) << a.pool;
+  }
+  for (const auto& t : bed.tomcats()) {
+    EXPECT_GE(t->thread_pool().capacity(), 8u);
+    EXPECT_LE(t->thread_pool().capacity(), 64u);
+  }
 }
 
 // Acceptance: governed trials are part of the determinism contract —

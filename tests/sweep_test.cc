@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace softres::exp {
 namespace {
 
@@ -37,6 +40,32 @@ TEST(SweepTest, RunsEveryWorkloadPoint) {
 
   EXPECT_NEAR(max_throughput(results), results[2].throughput, 1e-9);
   EXPECT_GE(max_goodput(results, 2.0), max_goodput(results, 0.2));
+}
+
+// A report that cannot be written must fail the sweep loudly: the worker's
+// std::runtime_error is rethrown by the executor and names the knob and path.
+TEST(SweepTest, UnwritableReportPathThrowsThroughSweep) {
+  TestbedConfig cfg = TestbedConfig::defaults();
+  cfg.demands.tomcat_base_s *= 10.0;
+  cfg.demands.cjdbc_per_query_s *= 10.0;
+  cfg.demands.mysql_per_query_s *= 10.0;
+  ExperimentOptions opts;
+  opts.client.ramp_up_s = 2.0;
+  opts.client.runtime_s = 5.0;
+  opts.client.ramp_down_s = 1.0;
+  const std::string dir = ::testing::TempDir() + "softres-no-such-dir";
+  opts.report_html = dir + "/report.html";
+  Experiment e(cfg, opts);
+
+  std::string what;
+  try {
+    sweep_workload(e, SoftConfig{50, 10, 10}, {100, 200}, /*jobs=*/2);
+  } catch (const std::runtime_error& err) {
+    what = err.what();
+  }
+  EXPECT_NE(what.find("SOFTRES_REPORT_HTML"), std::string::npos) << what;
+  EXPECT_NE(what.find(dir + "/report_s50-10-10_u"), std::string::npos)
+      << what;
 }
 
 TEST(SweepTest, EmptyInputs) {
