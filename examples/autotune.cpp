@@ -4,9 +4,9 @@
 //
 // Usage: autotune [hw e.g. 1/2/1/2] [slo_threshold_s]
 
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.h"
 #include "core/allocation.h"
 #include "exp/config.h"
 #include "exp/runner_adapter.h"
@@ -18,7 +18,9 @@ int main(int argc, char** argv) {
   exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
   cfg.hw = argc > 1 ? exp::HardwareConfig::parse(argv[1])
                     : exp::HardwareConfig{1, 2, 1, 2};
-  const double slo = argc > 2 ? std::atof(argv[2]) : 1.0;
+  const cli::Usage usage{"autotune", "[hw e.g. 1/2/1/2] [slo_threshold_s]"};
+  const double slo =
+      argc > 2 ? cli::positive_arg(usage, "slo_threshold_s", argv[2]) : 1.0;
 
   exp::Experiment experiment(cfg, exp::ExperimentOptions::from_env());
   exp::RunnerAdapter runner(experiment, slo);

@@ -10,9 +10,9 @@
 //
 // Usage: bottleneck_hunt [users]
 
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.h"
 #include "core/bottleneck.h"
 #include "exp/experiment.h"
 #include "exp/runner_adapter.h"
@@ -84,19 +84,9 @@ void diagnose(const exp::Experiment& experiment, const exp::SoftConfig& soft,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t users = 6200;
-  if (argc > 1) {
-    // A positive decimal count; "-5" must not wrap through size_t.
-    char* end = nullptr;
-    const long long v = std::strtoll(argv[1], &end, 10);
-    if (end == argv[1] || *end != '\0' || v < 1) {
-      std::cerr << "bottleneck_hunt: users must be a positive integer, got '"
-                << argv[1] << "'\n"
-                << "Usage: bottleneck_hunt [users]\n";
-      return 2;
-    }
-    users = static_cast<std::size_t>(v);
-  }
+  const cli::Usage usage{"bottleneck_hunt", "[users]"};
+  const std::size_t users =
+      argc > 1 ? cli::count_arg(usage, "users", argv[1]) : 6200;
   exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
   cfg.hw = exp::HardwareConfig{1, 2, 1, 2};
   exp::Experiment experiment(cfg, exp::ExperimentOptions::from_env());

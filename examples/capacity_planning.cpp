@@ -10,9 +10,9 @@
 // (base_seed, topology, soft config, users), so the same plan is
 // bit-reproducible at any SOFTRES_JOBS level.
 
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.h"
 #include "core/intervention.h"
 #include "core/ops_laws.h"
 #include "exp/experiment.h"
@@ -22,31 +22,21 @@
 using namespace softres;
 
 int main(int argc, char** argv) {
+  const cli::Usage usage{"capacity_planning",
+                         "[hw e.g. 1/2/1/2] [soft e.g. 400-15-60] "
+                         "[max_workload] [sla_threshold_s] [base_seed]"};
   exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
   cfg.hw = argc > 1 ? exp::HardwareConfig::parse(argv[1])
                     : exp::HardwareConfig{1, 2, 1, 2};
   const exp::SoftConfig soft = argc > 2 ? exp::SoftConfig::parse(argv[2])
                                         : exp::SoftConfig{400, 15, 60};
-  std::size_t max_wl = 7000;
-  if (argc > 3) {
-    // A positive decimal count; "-5" must not wrap through size_t.
-    char* end = nullptr;
-    const long long v = std::strtoll(argv[3], &end, 10);
-    if (end == argv[3] || *end != '\0' || v < 1) {
-      std::cerr << "capacity_planning: max_workload must be a positive "
-                   "integer, got '"
-                << argv[3] << "'\n"
-                << "Usage: capacity_planning [hw e.g. 1/2/1/2] [soft e.g. "
-                   "400-15-60] [max_workload] [sla_threshold_s] "
-                   "[base_seed]\n";
-      return 2;
-    }
-    max_wl = static_cast<std::size_t>(v);
-  }
-  const double threshold = argc > 4 ? std::atof(argv[4]) : 1.0;
+  const std::size_t max_wl =
+      argc > 3 ? cli::count_arg(usage, "max_workload", argv[3]) : 7000;
+  const double threshold =
+      argc > 4 ? cli::positive_arg(usage, "sla_threshold_s", argv[4]) : 1.0;
 
   exp::ExperimentOptions opts = exp::ExperimentOptions::from_env();
-  if (argc > 5) opts.client.seed = std::strtoull(argv[5], nullptr, 10);
+  if (argc > 5) opts.client.seed = cli::u64_arg(usage, "base_seed", argv[5]);
   exp::Experiment experiment(cfg, opts);
   const auto workloads = exp::workload_range(1000, max_wl, 500);
 

@@ -8,9 +8,9 @@
 //
 // Usage: multi_tenant [misreport_factor, default 8]
 
-#include <cstdlib>
 #include <iostream>
 
+#include "cli_args.h"
 #include "exp/config.h"
 #include "exp/experiment.h"
 #include "exp/sweep.h"
@@ -20,7 +20,9 @@
 using namespace softres;
 
 int main(int argc, char** argv) {
-  const double misreport = argc > 1 ? std::atof(argv[1]) : 8.0;
+  const cli::Usage usage{"multi_tenant", "[misreport_factor, default 8]"};
+  const double misreport =
+      argc > 1 ? cli::positive_arg(usage, "misreport_factor", argv[1]) : 8.0;
 
   exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
   // Inflate per-request demands 10x so a 4-thread Tomcat pool saturates at

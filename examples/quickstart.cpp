@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "cli_args.h"
 #include "exp/config.h"
 #include "exp/experiment.h"
 #include "metrics/table.h"
@@ -24,20 +25,10 @@
 using namespace softres;
 
 int main(int argc, char** argv) {
-  std::size_t users = 6000;
-  if (argc > 1) {
-    // A positive decimal count; "-5" must not wrap through size_t.
-    char* end = nullptr;
-    const long long v = std::strtoll(argv[1], &end, 10);
-    if (end == argv[1] || *end != '\0' || v < 1) {
-      std::cerr << "quickstart: users must be a positive integer, got '"
-                << argv[1] << "'\n"
-                << "Usage: quickstart [users] [hw e.g. 1/2/1/2]"
-                   " [soft e.g. 400-150-60]\n";
-      return 2;
-    }
-    users = static_cast<std::size_t>(v);
-  }
+  const cli::Usage usage{"quickstart",
+                         "[users] [hw e.g. 1/2/1/2] [soft e.g. 400-150-60]"};
+  const std::size_t users =
+      argc > 1 ? cli::count_arg(usage, "users", argv[1]) : 6000;
   exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
   cfg.hw = argc > 2 ? exp::HardwareConfig::parse(argv[2])
                     : exp::HardwareConfig{1, 2, 1, 2};

@@ -7,6 +7,8 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <numeric>
+#include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -20,6 +22,11 @@ namespace softres::exp {
 /// machine. Results come back in input order and the first (input-ordered)
 /// exception is rethrown from run_all once every job has finished, so a
 /// failing trial can never leave detached work referencing caller state.
+///
+/// Dispatch order and result order are separate: run_dispatched queues jobs
+/// in a caller-chosen order (the sweeps start their longest trials first so
+/// the batch does not end on one long straggler) while results, and the
+/// exception rethrown, still follow input order.
 ///
 /// Size resolution: an explicit `jobs` wins; otherwise SOFTRES_JOBS from the
 /// environment; otherwise std::thread::hardware_concurrency(). With one job
@@ -74,12 +81,35 @@ class ParallelExecutor {
   /// Index-space variant: fn(0..n-1), results in index order.
   template <typename Fn, typename T = std::invoke_result_t<Fn&, std::size_t>>
   std::vector<T> run_indexed(std::size_t n, Fn fn) {
-    std::vector<std::function<T()>> tasks;
-    tasks.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      tasks.push_back([fn, i] { return fn(i); });
+    std::vector<std::size_t> order(n);
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    return run_dispatched(order, std::move(fn));
+  }
+
+  /// fn(i) for every i in `order`, a permutation of 0..n-1, queued in that
+  /// order (and run in it when jobs() == 1). Results come back in index
+  /// order, and the exception rethrown is the lowest-index one, exactly as
+  /// run_indexed — dispatch order changes only when each job starts. Throws
+  /// std::invalid_argument, before running anything, unless `order` is a
+  /// permutation.
+  template <typename Fn, typename T = std::invoke_result_t<Fn&, std::size_t>>
+  std::vector<T> run_dispatched(const std::vector<std::size_t>& order, Fn fn) {
+    const std::size_t n = order.size();
+    std::vector<char> seen(n, 0);
+    for (std::size_t i : order) {
+      if (i >= n || seen[i] != 0) {
+        throw std::invalid_argument(
+            "ParallelExecutor::run_dispatched: order is not a permutation");
+      }
+      seen[i] = 1;
     }
-    return run_all(std::move(tasks));
+    std::vector<std::future<T>> futures(n);
+    for (std::size_t i : order) futures[i] = submit([fn, i] { return fn(i); });
+    for (auto& f : futures) f.wait();
+    std::vector<T> out;
+    out.reserve(n);
+    for (auto& f : futures) out.push_back(f.get());
+    return out;
   }
 
  private:

@@ -2,12 +2,33 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 #include <utility>
 
 #include "exp/parallel.h"
 #include "metrics/sla.h"
 
 namespace softres::exp {
+
+namespace {
+
+/// Dispatch order of a batch whose trial i simulates users_of(i) users:
+/// descending user count, ties in input order. Within one Experiment the
+/// schedule is fixed, so a trial's event count (and host time) grows with
+/// its population; starting the biggest first keeps the batch from ending
+/// on one long straggler while the other workers sit idle.
+template <typename UsersOf>
+std::vector<std::size_t> longest_first(std::size_t n, UsersOf users_of) {
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return users_of(a) > users_of(b);
+                   });
+  return order;
+}
+
+}  // namespace
 
 std::vector<std::size_t> workload_range(std::size_t lo, std::size_t hi,
                                         std::size_t step) {
@@ -24,9 +45,9 @@ std::vector<RunResult> sweep_workload(const Experiment& exp,
   // lets SOFTRES_JOBS changes take effect per call); thread start-up is
   // noise next to even the cheapest trial.
   ParallelExecutor pool(jobs);
-  return pool.run_indexed(users.size(), [&](std::size_t i) {
-    return exp.run(soft, users[i]);
-  });
+  return pool.run_dispatched(
+      longest_first(users.size(), [&](std::size_t i) { return users[i]; }),
+      [&](std::size_t i) { return exp.run(soft, users[i]); });
 }
 
 std::vector<std::vector<RunResult>> sweep_grid(
@@ -34,10 +55,10 @@ std::vector<std::vector<RunResult>> sweep_grid(
     const std::vector<std::size_t>& users, std::size_t jobs) {
   const std::size_t cols = users.size();
   ParallelExecutor pool(jobs);
-  std::vector<RunResult> flat =
-      pool.run_indexed(softs.size() * cols, [&](std::size_t i) {
-        return exp.run(softs[i / cols], users[i % cols]);
-      });
+  std::vector<RunResult> flat = pool.run_dispatched(
+      longest_first(softs.size() * cols,
+                    [&](std::size_t i) { return users[i % cols]; }),
+      [&](std::size_t i) { return exp.run(softs[i / cols], users[i % cols]); });
   std::vector<std::vector<RunResult>> out;
   out.reserve(softs.size());
   for (std::size_t s = 0; s < softs.size(); ++s) {
@@ -72,11 +93,29 @@ GovernedComparison governed_sweep(const Experiment& exp,
   ExperimentOptions static_opts = exp.options();
   static_opts.governor.enabled = false;
   const Experiment static_exp(exp.base_config(), static_opts);
-  std::vector<std::vector<RunResult>> grid =
-      sweep_grid(static_exp, softs, {users}, jobs);
+  // Governed side: one trial from `start`, resizing live.
+  ExperimentOptions gov_opts = exp.options();
+  gov_opts.governor = governor;
+  gov_opts.governor.enabled = true;
+  const Experiment gov_exp(exp.base_config(), gov_opts);
+
+  // One batch: index s < softs.size() is static trial s, the last index is
+  // the governed trial. The governed trial is dispatched first because it
+  // is usually the longest: resizing away the bottleneck, it completes the
+  // most requests, so it simulates the most events.
+  const std::size_t governed_idx = softs.size();
+  std::vector<std::size_t> order{governed_idx};
+  for (std::size_t s = 0; s < softs.size(); ++s) order.push_back(s);
+  ParallelExecutor pool(jobs);
+  std::vector<RunResult> runs =
+      pool.run_dispatched(order, [&](std::size_t i) {
+        return i == governed_idx ? gov_exp.run(start, users)
+                                 : static_exp.run(softs[i], users);
+      });
+
   bool first = true;
-  for (std::size_t s = 0; s < grid.size(); ++s) {
-    RunResult& r = grid[s][0];
+  for (std::size_t s = 0; s < softs.size(); ++s) {
+    RunResult& r = runs[s];
     const double g = r.goodput(out.sla_threshold_s);
     if (first || g > out.best_static_goodput) {
       out.best_static_goodput = g;
@@ -85,13 +124,7 @@ GovernedComparison governed_sweep(const Experiment& exp,
       first = false;
     }
   }
-
-  // Governed side: one trial from `start`, resizing live.
-  ExperimentOptions gov_opts = exp.options();
-  gov_opts.governor = governor;
-  gov_opts.governor.enabled = true;
-  const Experiment gov_exp(exp.base_config(), gov_opts);
-  out.governed = gov_exp.run(start, users);
+  out.governed = std::move(runs[governed_idx]);
   out.governed_goodput = out.governed.goodput(out.sla_threshold_s);
   return out;
 }

@@ -14,10 +14,12 @@ std::vector<std::size_t> workload_range(std::size_t lo, std::size_t hi,
 /// Run one soft allocation across a workload range.
 ///
 /// Trials fan out over a ParallelExecutor sized by `jobs` (0 = SOFTRES_JOBS
-/// env / hardware_concurrency; 1 = strictly serial on the caller). Results
-/// keep the input order and are bit-identical for every pool size: each
-/// trial's RNG streams are derived from (base seed, topology, soft, users),
-/// never from execution order.
+/// env / hardware_concurrency; 1 = strictly serial on the caller). They are
+/// dispatched by descending user count (ties in input order): under one
+/// Experiment a trial's cost grows with its population, so the longest
+/// start first. Results keep the input order and are bit-identical for
+/// every pool size and dispatch order: each trial's RNG streams are derived
+/// from (base seed, topology, soft, users), never from execution order.
 std::vector<RunResult> sweep_workload(const Experiment& exp,
                                       const SoftConfig& soft,
                                       const std::vector<std::size_t>& users,
@@ -26,7 +28,8 @@ std::vector<RunResult> sweep_workload(const Experiment& exp,
 /// Run a grid of soft allocations across a workload range: result[s][u] is
 /// softs[s] at users[u]. The whole grid is one flat batch on the executor,
 /// so parallelism spans both axes (a 4-config x 6-workload grid keeps 24
-/// cores busy, not 6).
+/// cores busy, not 6). Dispatch is longest-first and results keep input
+/// order, as in sweep_workload.
 std::vector<std::vector<RunResult>> sweep_grid(
     const Experiment& exp, const std::vector<SoftConfig>& softs,
     const std::vector<std::size_t>& users, std::size_t jobs = 0);
@@ -70,11 +73,11 @@ struct GovernedComparison {
   double advantage() const { return governed_goodput - best_static_goodput; }
 };
 
-/// Run the static grid (governor disabled) at `users`, pick the allocation
-/// with the highest goodput at `exp`'s SLA threshold, then run one governed
-/// trial starting from `start` with `governor` (enabled is forced on). All
-/// static trials fan out over the executor; the comparison is deterministic
-/// for any `jobs`.
+/// Run the static grid (governor disabled) at `users` and one governed trial
+/// starting from `start` with `governor` (enabled is forced on), then pick
+/// the static allocation with the highest goodput at `exp`'s SLA threshold.
+/// All trials are one executor batch, the governed trial dispatched first;
+/// the comparison is deterministic for any `jobs`.
 GovernedComparison governed_sweep(const Experiment& exp,
                                   const std::vector<SoftConfig>& softs,
                                   std::size_t users, const SoftConfig& start,

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <ostream>
+#include <stdexcept>
 
 namespace softres::metrics {
 
@@ -56,8 +57,12 @@ std::string csv_dir_from_env() {
 bool export_csv(const std::string& dir, const std::string& name,
                 const std::function<void(std::ostream&)>& fn) {
   if (dir.empty()) return false;
-  std::ofstream file(dir + "/" + name);
-  if (!file) return false;
+  const std::string path = dir + "/" + name;
+  std::ofstream file(path);
+  if (!file) {
+    throw std::runtime_error("SOFTRES_CSV_DIR: cannot write '" + path +
+                             "' (does the directory exist?)");
+  }
   fn(file);
   return true;
 }

@@ -28,7 +28,9 @@ void write_xy_csv(std::ostream& os, const std::string& x_name,
 std::string csv_dir_from_env();
 
 /// Open `dir/name` and write via `fn`; no-op when dir is empty. Returns true
-/// when a file was written.
+/// when a file was written. Throws std::runtime_error naming SOFTRES_CSV_DIR
+/// and the path when the file cannot be opened (e.g. a missing directory),
+/// so a mistyped export directory fails loudly instead of writing nothing.
 bool export_csv(const std::string& dir, const std::string& name,
                 const std::function<void(std::ostream&)>& fn);
 

@@ -207,10 +207,7 @@ inline EventQueue* Simulator::next_tier() {
   if (near_.empty()) return &far_;
   // EventQueue's own (time, key) order; keys carry the global seq, so a
   // same-instant tie across tiers still fires in schedule order.
-  const EventQueue::Entry& a = near_.top();
-  const EventQueue::Entry& b = far_.top();
-  const bool near_first = a.time != b.time ? a.time < b.time : a.key < b.key;
-  return near_first ? &near_ : &far_;
+  return EventQueue::before(near_.top(), far_.top()) ? &near_ : &far_;
 }
 
 inline void Simulator::dispatch([[maybe_unused]] const EventQueue& tier,

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 namespace softres::metrics {
 namespace {
@@ -54,8 +56,25 @@ TEST(CsvTest, ExportWritesFile) {
 }
 
 TEST(CsvTest, ExportFailsOnBadDirectory) {
-  EXPECT_FALSE(export_csv("/nonexistent_dir_softres", "x.csv",
-                          [](std::ostream&) {}));
+  EXPECT_THROW(export_csv("/nonexistent_dir_softres", "x.csv",
+                          [](std::ostream&) {}),
+               std::runtime_error);
+}
+
+TEST(CsvTest, ExportErrorNamesVariableAndPath) {
+  bool wrote = false;
+  std::string what;
+  try {
+    export_csv("/nonexistent_dir_softres", "fig5a_goodput.csv",
+               [&wrote](std::ostream&) { wrote = true; });
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  EXPECT_FALSE(wrote);
+  EXPECT_NE(what.find("SOFTRES_CSV_DIR"), std::string::npos) << what;
+  EXPECT_NE(what.find("/nonexistent_dir_softres/fig5a_goodput.csv"),
+            std::string::npos)
+      << what;
 }
 
 }  // namespace

@@ -379,21 +379,74 @@ TEST(DeterminismTest, TailAttributionStableUnderTraceRate) {
   EXPECT_LT(ra.tail.requests, ra.response_times.count());  // sampled, not all
 }
 
+// Grids are dispatched longest-first (descending users), so with unsorted
+// workloads the dispatch order differs from the result order on both axes;
+// jobs=1 runs the trials in that dispatch order on the caller, jobs=4
+// interleaves them, and both must equal pointwise runs cell by cell.
 TEST(DeterminismTest, GridSweepMatchesPointwiseRuns) {
   Experiment e(cheap_config(), cheap_options());
   const std::vector<SoftConfig> softs = {SoftConfig{50, 10, 10},
                                          SoftConfig{20, 5, 5}};
-  const std::vector<std::size_t> workloads = {150, 250};
+  const std::vector<std::size_t> workloads = {150, 250, 100};
   const auto grid = sweep_grid(e, softs, workloads, /*jobs=*/4);
+  const auto serial = sweep_grid(e, softs, workloads, /*jobs=*/1);
   ASSERT_EQ(grid.size(), 2u);
+  ASSERT_EQ(serial.size(), 2u);
   for (std::size_t s = 0; s < softs.size(); ++s) {
-    ASSERT_EQ(grid[s].size(), 2u);
+    ASSERT_EQ(grid[s].size(), workloads.size());
+    ASSERT_EQ(serial[s].size(), workloads.size());
     for (std::size_t i = 0; i < workloads.size(); ++i) {
       SCOPED_TRACE("soft " + std::to_string(s) + " workload " +
                    std::to_string(workloads[i]));
       expect_bit_identical(e.run(softs[s], workloads[i]), grid[s][i]);
+      expect_bit_identical(serial[s][i], grid[s][i]);
     }
   }
+}
+
+// governed_sweep runs the static grid and the governed trial as one batch,
+// governed first. Each side must equal the same trial run alone, at any
+// pool size.
+TEST(DeterminismTest, GovernedSweepMatchesPointwiseRuns) {
+  Experiment e(cheap_config(), cheap_options());
+  const std::vector<SoftConfig> softs = {SoftConfig{50, 10, 10},
+                                         SoftConfig{20, 5, 5},
+                                         SoftConfig{50, 4, 4}};
+  const std::size_t users = 250;
+  const core::GovernorConfig governor;
+  const GovernedComparison par =
+      governed_sweep(e, softs, users, softs.back(), governor, /*jobs=*/4);
+  const GovernedComparison ser =
+      governed_sweep(e, softs, users, softs.back(), governor, /*jobs=*/1);
+
+  ExperimentOptions static_opts = e.options();
+  static_opts.governor.enabled = false;
+  const Experiment static_exp(e.base_config(), static_opts);
+  ExperimentOptions gov_opts = e.options();
+  gov_opts.governor = governor;
+  gov_opts.governor.enabled = true;
+  const Experiment gov_exp(e.base_config(), gov_opts);
+
+  double best = 0.0;
+  std::size_t best_s = 0;
+  for (std::size_t s = 0; s < softs.size(); ++s) {
+    const double g =
+        static_exp.run(softs[s], users).goodput(par.sla_threshold_s);
+    if (s == 0 || g > best) {
+      best = g;
+      best_s = s;
+    }
+  }
+  for (const GovernedComparison* cmp : {&par, &ser}) {
+    EXPECT_EQ(cmp->best_static_soft.to_string(), softs[best_s].to_string());
+    EXPECT_EQ(cmp->best_static_goodput, best);
+    expect_bit_identical(static_exp.run(softs[best_s], users),
+                         cmp->best_static);
+    expect_bit_identical(gov_exp.run(softs.back(), users), cmp->governed);
+    EXPECT_EQ(cmp->governed.governor_actions.size(),
+              par.governed.governor_actions.size());
+  }
+  EXPECT_EQ(ser.governed_goodput, par.governed_goodput);
 }
 
 }  // namespace

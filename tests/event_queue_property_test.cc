@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <tuple>
@@ -64,19 +65,24 @@ class Oracle {
   std::vector<OracleEntry> entries_;
 };
 
-class EventQueuePropertyTest : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(EventQueuePropertyTest, RandomOpsMatchSortedOracle) {
+// Random push/update/erase/pop over `indices` record indices, every pop
+// checked against the oracle, then a full drain. `prefill` pushes come
+// first so that a large index space really builds a deep heap. With
+// `signed_zeros`, pushes and updates landing on instant 0 alternate between
+// 0.0 and -0.0: the two must tie and break by key, as before() orders them.
+// Returns the largest queue size reached.
+std::size_t random_ops_match_oracle(std::uint64_t seed, std::uint32_t indices,
+                                    int prefill, int ops, bool signed_zeros) {
   EventQueue q;
   Oracle oracle;
-  Rng rng(GetParam());
+  Rng rng(seed);
 
-  constexpr std::uint32_t kIndices = 64;
-  std::vector<bool> in_queue(kIndices, false);
+  std::vector<bool> in_queue(indices, false);
   std::vector<std::uint32_t> free_idx, used_idx;
-  for (std::uint32_t i = 0; i < kIndices; ++i) free_idx.push_back(i);
+  for (std::uint32_t i = 0; i < indices; ++i) free_idx.push_back(i);
   std::uint64_t seq = 1;
+  std::size_t max_size = 0;
+  bool negative_zero = false;
 
   double last_time = 0.0;
   std::uint64_t last_key = 0;
@@ -84,24 +90,32 @@ TEST_P(EventQueuePropertyTest, RandomOpsMatchSortedOracle) {
   // into the past): with ~16 distinct instants and dozens of pending
   // entries, most pushes collide on time and the tie-break carries the
   // ordering — the case a plain (time < time) heap would get wrong.
-  const auto random_time = [&rng, &last_time] {
-    return last_time + static_cast<double>(rng.uniform_int(0, 15));
+  const auto random_time = [&] {
+    const double t = last_time + static_cast<double>(rng.uniform_int(0, 15));
+    if (signed_zeros && t == 0.0) {
+      negative_zero = !negative_zero;
+      return negative_zero ? -0.0 : 0.0;
+    }
+    return t;
   };
-  const int kOps = 10000;
-  for (int op = 0; op < kOps; ++op) {
+  const auto push = [&] {
+    const auto pick = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(free_idx.size()) - 1));
+    const std::uint32_t idx = free_idx[pick];
+    free_idx[pick] = free_idx.back();
+    free_idx.pop_back();
+    used_idx.push_back(idx);
+    in_queue[idx] = true;
+    const double t = random_time();
+    const std::uint64_t key = (seq++ << EventQueue::kIndexBits) | idx;
+    q.push({t, key});
+    oracle.push(t, key);
+  };
+  for (int i = 0; i < prefill && !free_idx.empty(); ++i) push();
+  for (int op = 0; op < ops; ++op) {
     const auto what = rng.uniform_int(0, 9);
     if (what < 4 && !free_idx.empty()) {  // push
-      const auto pick = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(free_idx.size()) - 1));
-      const std::uint32_t idx = free_idx[pick];
-      free_idx[pick] = free_idx.back();
-      free_idx.pop_back();
-      used_idx.push_back(idx);
-      in_queue[idx] = true;
-      const double t = random_time();
-      const std::uint64_t key = (seq++ << EventQueue::kIndexBits) | idx;
-      q.push({t, key});
-      oracle.push(t, key);
+      push();
     } else if (what < 6 && !used_idx.empty()) {  // update (re-key in place)
       const std::uint32_t idx = used_idx[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(used_idx.size()) - 1))];
@@ -122,32 +136,89 @@ TEST_P(EventQueuePropertyTest, RandomOpsMatchSortedOracle) {
     } else if (!q.empty()) {  // pop
       const EventQueue::Entry got = q.pop();
       const OracleEntry want = oracle.pop_min();
-      ASSERT_EQ(got.time, want.time) << "op " << op;
-      ASSERT_EQ(got.key, want.key) << "op " << op;
+      EXPECT_EQ(got.time, want.time) << "op " << op;
+      EXPECT_EQ(got.key, want.key) << "op " << op;
       // Nondecreasing (time, key) across consecutive pops.
-      ASSERT_TRUE(got.time > last_time ||
+      EXPECT_TRUE(got.time > last_time ||
                   (got.time == last_time && got.key > last_key))
           << "op " << op;
+      if (::testing::Test::HasFailure()) return max_size;
       last_time = got.time;
       last_key = got.key;
       const auto idx = static_cast<std::uint32_t>(got.key &
                                                   EventQueue::kIndexMask);
-      ASSERT_TRUE(in_queue[idx]);
+      EXPECT_TRUE(in_queue[idx]);
       in_queue[idx] = false;
       used_idx.erase(std::find(used_idx.begin(), used_idx.end(), idx));
       free_idx.push_back(idx);
     }
-    ASSERT_EQ(q.size(), oracle.size());
+    EXPECT_EQ(q.size(), oracle.size());
+    if (::testing::Test::HasFailure()) return max_size;
+    max_size = std::max(max_size, q.size());
   }
 
   // Drain: the remaining entries must come out in exact oracle order.
   while (!q.empty()) {
     const EventQueue::Entry got = q.pop();
     const OracleEntry want = oracle.pop_min();
-    ASSERT_EQ(got.time, want.time);
-    ASSERT_EQ(got.key, want.key);
+    EXPECT_EQ(got.time, want.time);
+    EXPECT_EQ(got.key, want.key);
+    if (::testing::Test::HasFailure()) return max_size;
   }
   EXPECT_EQ(oracle.size(), 0u);
+  return max_size;
+}
+
+class EventQueuePropertyTest : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(EventQueuePropertyTest, RandomOpsMatchSortedOracle) {
+  random_ops_match_oracle(GetParam(), /*indices=*/64, /*prefill=*/0,
+                          /*ops=*/10000, /*signed_zeros=*/false);
+}
+
+// A deep heap: thousands of indices, prefilled so pops walk five or six
+// levels of full four-child groups (the tournament) and end in partial last
+// groups of one to three children (the scan) at every size the random walk
+// visits. Times stay on the coarse grid, so ties still decide most pops,
+// and instant 0 mixes 0.0 with -0.0 entries.
+TEST_P(EventQueuePropertyTest, DeepHeapRandomOpsMatchSortedOracle) {
+  const std::size_t max_size =
+      random_ops_match_oracle(GetParam(), /*indices=*/2048, /*prefill=*/1536,
+                              /*ops=*/20000, /*signed_zeros=*/true);
+  EXPECT_GE(max_size, 1024u);
+}
+
+// Entries at 0.0 and -0.0 are one instant: they pop in key order whichever
+// zero each was pushed or re-keyed with, and come out as +0.0.
+TEST(EventQueueTest, SignedZeroTimesTieBreakByKey) {
+  EventQueue q;
+  const double zeros[] = {-0.0, 0.0};
+  constexpr std::uint32_t kN = 64;
+  // Keys pushed in descending seq order so every pop sifts.
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    const std::uint64_t seq = 2 * kN - i;
+    q.push({zeros[i % 2], (seq << EventQueue::kIndexBits) | i});
+  }
+  // Re-key a few with the other zero and a fresh, lower seq.
+  for (std::uint32_t i = 0; i < kN; i += 7) {
+    const std::uint64_t seq = kN - i;
+    q.update(i, {zeros[(i + 1) % 2], (seq << EventQueue::kIndexBits) | i});
+  }
+  std::uint64_t last_key = 0;
+  for (std::uint32_t n = 0; n < kN; ++n) {
+    const EventQueue::Entry e = q.pop();
+    EXPECT_EQ(e.time, 0.0);
+    EXPECT_FALSE(std::signbit(e.time)) << "pop " << n;
+    EXPECT_GT(e.key, last_key) << "pop " << n;
+    last_key = e.key;
+  }
+  EXPECT_TRUE(q.empty());
+  // The stored form compares the same way through before().
+  const EventQueue::Entry a{0.0, 1}, b{0.0, 2};
+  EXPECT_TRUE(EventQueue::before(a, b));
+  EXPECT_FALSE(EventQueue::before(b, a));
+  EXPECT_FALSE(EventQueue::before(a, a));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueuePropertyTest,

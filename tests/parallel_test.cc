@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -62,6 +64,80 @@ TEST(ParallelExecutorTest, FirstInputOrderedExceptionPropagates) {
   // Every non-throwing job ran to completion before the rethrow — no work
   // is left detached referencing caller state.
   EXPECT_EQ(completed.load(), 6);
+}
+
+// A permuted dispatch order changes when jobs start, never where their
+// results land: output stays in index order at every pool size, and the
+// serial pool runs the jobs in exactly the dispatch order.
+TEST(ParallelExecutorTest, RunDispatchedKeepsResultsInInputOrder) {
+  const std::vector<std::size_t> order = {5, 2, 7, 0, 3, 1, 6, 4};
+  for (std::size_t jobs : {1u, 4u}) {
+    ParallelExecutor pool(jobs);
+    std::mutex mu;
+    std::vector<std::size_t> started;
+    const auto out = pool.run_dispatched(order, [&](std::size_t i) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        started.push_back(i);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(i % 3));
+      return i * 10;
+    });
+    ASSERT_EQ(out.size(), order.size()) << "jobs " << jobs;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i], i * 10) << "jobs " << jobs;
+    }
+    std::sort(started.begin(), started.end());
+    for (std::size_t i = 0; i < started.size(); ++i) EXPECT_EQ(started[i], i);
+    if (jobs == 1) {
+      // Inline on the caller: start order is the dispatch order.
+      std::vector<std::size_t> inline_started;
+      pool.run_dispatched(order, [&](std::size_t i) {
+        inline_started.push_back(i);
+        return i;
+      });
+      EXPECT_EQ(inline_started, order);
+    }
+  }
+}
+
+// Two jobs throw, and the one dispatched later has the lower input index:
+// that one's exception is rethrown, as run_indexed would, after every job
+// has finished.
+TEST(ParallelExecutorTest, RunDispatchedRethrowsLowestInputIndex) {
+  const std::vector<std::size_t> order = {6, 4, 5, 0, 1, 2, 3, 7};
+  for (std::size_t jobs : {1u, 4u}) {
+    ParallelExecutor pool(jobs);
+    std::atomic<int> completed{0};
+    try {
+      pool.run_dispatched(order, [&completed](std::size_t i) -> int {
+        if (i == 6) throw std::logic_error("trial 6 failed");
+        if (i == 2) throw std::runtime_error("trial 2 failed");
+        ++completed;
+        return static_cast<int>(i);
+      });
+      FAIL() << "expected run_dispatched to rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "trial 2 failed") << "jobs " << jobs;
+    } catch (const std::logic_error& e) {
+      FAIL() << "jobs " << jobs << ": rethrew the first-dispatched "
+             << e.what();
+    }
+    EXPECT_EQ(completed.load(), 6) << "jobs " << jobs;
+  }
+}
+
+TEST(ParallelExecutorTest, RunDispatchedRejectsNonPermutation) {
+  ParallelExecutor pool(2);
+  std::atomic<int> ran{0};
+  const auto fn = [&ran](std::size_t i) {
+    ++ran;
+    return i;
+  };
+  EXPECT_THROW(pool.run_dispatched({0, 1, 1}, fn), std::invalid_argument);
+  EXPECT_THROW(pool.run_dispatched({0, 3, 1}, fn), std::invalid_argument);
+  EXPECT_EQ(ran.load(), 0);  // rejected before anything was queued
+  EXPECT_TRUE(pool.run_dispatched({}, fn).empty());
 }
 
 TEST(ParallelExecutorTest, SingleJobRunsInlineOnCaller) {
