@@ -6,6 +6,7 @@
 // aggregate per-tier latency breakdown, and — when SOFTRES_TRACE_JSON is set
 // — a Chrome trace_event file loadable in Perfetto.
 
+#include <cstdlib>
 #include <fstream>
 
 #include "bench_util.h"

@@ -1,16 +1,23 @@
 // Microbenchmarks of the simulation kernel (google-benchmark): event queue
 // throughput, processor-sharing CPU model, pool operations, and whole-
-// testbed event rate. These bound how fast the figure benches can sweep.
+// testbed event rate. These bound how fast the figure benches can sweep;
+// they are a developer tool, and softbench is the gated benchmark.
 
 #include <benchmark/benchmark.h>
 
+#include <cstring>
+#include <fstream>
+#include <iostream>
+#include <string>
+#include <vector>
+
 #include "exp/config.h"
 #include "exp/experiment.h"
-#include "exp/parallel.h"
 #include "exp/run_context.h"
 #include "exp/sweep.h"
 #include "exp/testbed.h"
 #include "hw/cpu.h"
+#include "obs/profiler.h"
 #include "sim/distributions.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -160,15 +167,14 @@ BENCHMARK(BM_TestbedTrial)
     ->Args({2000, 1000}) // every dynamic request traced
     ->Unit(benchmark::kMillisecond);
 
-// Sweep throughput in trials/s: the quantity the ParallelExecutor exists to
-// raise. range(0) is the pool size (1 = the strictly serial baseline,
-// 0 = SOFTRES_JOBS / all cores); items processed = trials, so the reported
-// items/s is directly comparable across pool sizes. Expect >= 2x on a
-// 4-core machine.
-void BM_SweepThroughput(benchmark::State& state) {
-  const auto jobs = static_cast<std::size_t>(state.range(0));
+/// The profiled pass behind --profile, run after the microbenches so they
+/// are never timed under instrumentation: one serial sweep with 10x demands
+/// (short trials), printed as a table and written as a collapsed-stack file
+/// for flamegraph.pl / speedscope. Serial keeps the output order trivially
+/// stable; the count axis is identical under any jobs value
+/// (tests/determinism_test.cc holds that line).
+int run_profile_pass(const std::string& folded_path) {
   exp::TestbedConfig cfg = exp::TestbedConfig::defaults();
-  // 10x demands keep individual trials short without changing the event mix.
   cfg.demands.tomcat_base_s *= 10.0;
   cfg.demands.cjdbc_per_query_s *= 10.0;
   cfg.demands.mysql_per_query_s *= 10.0;
@@ -177,29 +183,52 @@ void BM_SweepThroughput(benchmark::State& state) {
   opts.client.runtime_s = 20.0;
   opts.client.ramp_down_s = 2.0;
   opts.keep_series = false;
+  opts.profile = true;
   const exp::Experiment e(cfg, opts);
-  const auto workloads = exp::workload_range(100, 800, 100);  // 8 trials
+  const auto workloads = exp::workload_range(100, 800, 100);
+  const auto results =
+      exp::sweep_workload(e, exp::SoftConfig{50, 10, 10}, workloads, 1);
 
-  std::uint64_t trials = 0;
-  double tp_checksum = 0.0;
-  for (auto _ : state) {
-    const auto results =
-        exp::sweep_workload(e, exp::SoftConfig{50, 10, 10}, workloads, jobs);
-    trials += results.size();
-    for (const auto& r : results) tp_checksum += r.throughput;
+  obs::ProfileSnapshot total;
+  for (const auto& r : results) total.merge(r.profile);
+  std::cout << "\n" << obs::render_profile_table(total);
+
+  std::ofstream folded(folded_path);
+  if (!folded) {
+    std::cerr << "bench_kernel: cannot write " << folded_path << "\n";
+    return 1;
   }
-  benchmark::DoNotOptimize(tp_checksum);
-  state.SetItemsProcessed(static_cast<int64_t>(trials));
-  state.SetLabel("jobs=" + std::to_string(
-                     jobs ? jobs : exp::ParallelExecutor::default_jobs()));
+  obs::write_collapsed_stacks(folded, total);
+  std::cout << "[profile] wrote collapsed stacks to " << folded_path << "\n";
+  return 0;
 }
-BENCHMARK(BM_SweepThroughput)
-    ->Arg(1)   // serial baseline
-    ->Arg(0)   // SOFTRES_JOBS / hardware_concurrency
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 }  // namespace
 
-BENCHMARK_MAIN();
+// google-benchmark's own flags, plus --profile and --profile-out=FILE
+// (default profile.folded; implies --profile) for the profiled pass.
+int main(int argc, char** argv) {
+  bool profile = false;
+  std::string profile_out = "profile.folded";
+  std::vector<char*> bench_args;
+  for (int i = 0; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--profile") == 0) {
+      profile = true;
+      continue;
+    }
+    if (std::strncmp(argv[i], "--profile-out=", 14) == 0) {
+      profile = true;
+      profile_out = argv[i] + 14;
+      continue;
+    }
+    bench_args.push_back(argv[i]);
+  }
+  int bench_argc = static_cast<int>(bench_args.size());
+  benchmark::Initialize(&bench_argc, bench_args.data());
+  if (benchmark::ReportUnrecognizedArguments(bench_argc, bench_args.data())) {
+    return 1;
+  }
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return profile ? run_profile_pass(profile_out) : 0;
+}

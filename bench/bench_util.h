@@ -5,11 +5,7 @@
 // simulated trials. Absolute values come from the calibrated simulator;
 // EXPERIMENTS.md records the paper-vs-measured comparison.
 
-#include <atomic>
-#include <cstdint>
-#include <cstdlib>
 #include <iostream>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -20,69 +16,22 @@
 #include "metrics/table.h"
 #include "obs/diagnoser.h"
 #include "obs/tail.h"
-#include "support/prof.h"
 
 namespace softres::bench {
 
-// ---------------------------------------------------------------------------
-// Counting-allocator ledger. The global operator-new hooks (installed by
-// defining SOFTRES_BENCH_ALLOC_LEDGER in exactly one translation unit before
-// including this header) bump a per-phase counter keyed on the thread's
-// prof::t_phase marker, which exp::Experiment::run advances at every trial's
-// phase transitions whether or not profiling is on. That is what separates
-// setup-phase allocations (topology build, registry construction) from
-// steady-state per-trial allocations: setup() counts the former, steady()
-// the latter, and allocs/trial is computed from steady() alone instead of
-// lumping both together. Counts cover the whole process (the benchmark
-// harness included), so benches always measure deltas across a timed region.
-
-struct AllocLedger {
-  std::atomic<std::uint64_t> by_phase[prof::kPhases] = {};
-
-  void add(prof::Phase phase) {
-    by_phase[static_cast<std::size_t>(phase)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-  std::uint64_t phase_count(prof::Phase phase) const {
-    return by_phase[static_cast<std::size_t>(phase)].load(
-        std::memory_order_relaxed);
-  }
-  /// Topology build + registry construction (+ whatever the harness
-  /// allocates between trials, which also lands pre-ramp).
-  std::uint64_t setup() const { return phase_count(prof::Phase::kSetup); }
-  /// Steady-state allocations: everything from ramp-up to trial end.
-  std::uint64_t steady() const {
-    return phase_count(prof::Phase::kRampUp) +
-           phase_count(prof::Phase::kMeasure) +
-           phase_count(prof::Phase::kRampDown);
-  }
-  std::uint64_t total() const { return setup() + steady(); }
-};
-
-inline AllocLedger g_alloc_ledger;
-
-/// Delta of the ledger across a timed region; benches construct one before
-/// the loop and read the members after.
-struct AllocDelta {
-  std::uint64_t setup0 = g_alloc_ledger.setup();
-  std::uint64_t steady0 = g_alloc_ledger.steady();
-  std::uint64_t setup() const { return g_alloc_ledger.setup() - setup0; }
-  std::uint64_t steady() const { return g_alloc_ledger.steady() - steady0; }
-};
-
 /// Trial schedule for benches: compressed by default, the paper's 8 min /
-/// 12 min schedule with SOFTRES_FULL=1. Delegates to
-/// ExperimentOptions::from_env() so the environment switches (SOFTRES_FULL,
-/// SOFTRES_TRACE_RATE) are interpreted in exactly one place.
+/// 12 min schedule with SOFTRES_FULL=1. The compressed schedule is the base
+/// that ExperimentOptions::from_env() overlays, so the environment switches
+/// (SOFTRES_FULL, SOFTRES_TRACE_RATE, ...) are parsed and validated in
+/// exactly one place. SOFTRES_CSV_DIR is checked here as well, so a missing
+/// export directory stops the bench before its first trial.
 inline exp::ExperimentOptions bench_options() {
-  exp::ExperimentOptions opts = exp::ExperimentOptions::from_env();
-  const char* full = std::getenv("SOFTRES_FULL");
-  if (full == nullptr || full[0] != '1') {
-    opts.client.ramp_up_s = 20.0;
-    opts.client.runtime_s = 60.0;
-    opts.client.ramp_down_s = 3.0;
-  }
-  return opts;
+  exp::ExperimentOptions quick;
+  quick.client.ramp_up_s = 20.0;
+  quick.client.runtime_s = 60.0;
+  quick.client.ramp_down_s = 3.0;
+  metrics::csv_dir_from_env();
+  return exp::ExperimentOptions::from_env(quick);
 }
 
 inline exp::Experiment make_experiment(const std::string& hw) {
@@ -201,33 +150,3 @@ inline void print_onsets(const std::string& label,
 }
 
 }  // namespace softres::bench
-
-// Global allocator replacement, emitted only in the one TU that defines
-// SOFTRES_BENCH_ALLOC_LEDGER (bench_suite.cpp). The default operator new[]
-// and delete[] forward here, so array allocations are counted too. noinline
-// keeps GCC from inlining the hooks into static initializers and warning
-// that the (matched) malloc/free pair mismatches operator new.
-#if defined(SOFTRES_BENCH_ALLOC_LEDGER)
-
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  softres::bench::g_alloc_ledger.add(softres::prof::t_phase);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-[[gnu::noinline]] void* operator new(std::size_t size,
-                                     const std::nothrow_t&) noexcept {
-  softres::bench::g_alloc_ledger.add(softres::prof::t_phase);
-  return std::malloc(size);
-}
-
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-[[gnu::noinline]] void operator delete(void* p,
-                                       const std::nothrow_t&) noexcept {
-  std::free(p);
-}
-
-#endif  // SOFTRES_BENCH_ALLOC_LEDGER

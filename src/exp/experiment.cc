@@ -23,12 +23,24 @@ namespace {
                               "': expected " + expected);
 }
 
+/// An on/off switch: unset (nullopt), exactly "0" or exactly "1".
+std::optional<bool> env_switch(const char* knob) {
+  const char* value = std::getenv(knob);
+  if (value == nullptr) return std::nullopt;
+  const std::string v = value;
+  if (v != "0" && v != "1") bad_env(knob, value, "0 or 1");
+  return v == "1";
+}
+
 }  // namespace
 
 ExperimentOptions ExperimentOptions::from_env() {
-  ExperimentOptions opts;
-  const char* full = std::getenv("SOFTRES_FULL");
-  if (full != nullptr && full[0] == '1') {
+  return from_env(ExperimentOptions{});
+}
+
+ExperimentOptions ExperimentOptions::from_env(ExperimentOptions base) {
+  ExperimentOptions opts = std::move(base);
+  if (env_switch("SOFTRES_FULL").value_or(false)) {
     opts.client.ramp_up_s = 480.0;   // 8 minutes
     opts.client.runtime_s = 720.0;   // 12 minutes
     opts.client.ramp_down_s = 30.0;
@@ -58,8 +70,8 @@ ExperimentOptions ExperimentOptions::from_env() {
   if (const char* report = std::getenv("SOFTRES_REPORT_HTML")) {
     opts.report_html = report;
   }
-  if (const char* profile = std::getenv("SOFTRES_PROFILE")) {
-    opts.profile = profile[0] == '1';
+  if (const std::optional<bool> profile = env_switch("SOFTRES_PROFILE")) {
+    opts.profile = *profile;
   }
   return opts;
 }

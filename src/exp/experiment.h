@@ -21,8 +21,9 @@ namespace softres::exp {
 /// switching to the paper's 8 min ramp-up / 12 min runtime schedule, and
 /// SOFTRES_SEED=<n> as the base seed of the RunContext::derive_seed chain
 /// (the one sanctioned way to re-seed benches and examples). A malformed
-/// SOFTRES_SEED or SOFTRES_TRACE_RATE (not in [0, 1]) throws
-/// std::invalid_argument naming the variable.
+/// SOFTRES_SEED, SOFTRES_TRACE_RATE (not in [0, 1]), SOFTRES_FULL or
+/// SOFTRES_PROFILE (not exactly 0 or 1) throws std::invalid_argument naming
+/// the variable.
 struct ExperimentOptions {
   workload::ClientConfig client;   // users is overridden per run
   double sla_threshold_s = 2.0;    // reporting default, as in the paper
@@ -61,6 +62,9 @@ struct ExperimentOptions {
   std::string report_html;
 
   static ExperimentOptions from_env();
+  /// `base` with the environment switches above applied on top; unset
+  /// variables keep base's values.
+  static ExperimentOptions from_env(ExperimentOptions base);
 };
 
 struct CpuStat {

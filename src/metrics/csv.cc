@@ -1,9 +1,11 @@
 #include "metrics/csv.h"
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <system_error>
 
 namespace softres::metrics {
 
@@ -51,7 +53,13 @@ void write_xy_csv(std::ostream& os, const std::string& x_name,
 
 std::string csv_dir_from_env() {
   const char* dir = std::getenv("SOFTRES_CSV_DIR");
-  return dir != nullptr ? std::string(dir) : std::string();
+  if (dir == nullptr || dir[0] == '\0') return std::string();
+  std::error_code ec;
+  if (!std::filesystem::is_directory(dir, ec)) {
+    throw std::runtime_error(std::string("SOFTRES_CSV_DIR: '") + dir +
+                             "' is not an existing directory");
+  }
+  return dir;
 }
 
 bool export_csv(const std::string& dir, const std::string& name,

@@ -24,7 +24,9 @@ void write_xy_csv(std::ostream& os, const std::string& x_name,
                   const std::vector<std::pair<std::string,
                                               std::vector<double>>>& columns);
 
-/// Directory from SOFTRES_CSV_DIR, or empty when export is disabled.
+/// Directory from SOFTRES_CSV_DIR, or empty when unset or "". Throws
+/// std::runtime_error naming SOFTRES_CSV_DIR and the path when it is set to
+/// anything but an existing directory, so benches fail before any trial.
 std::string csv_dir_from_env();
 
 /// Open `dir/name` and write via `fn`; no-op when dir is empty. Returns true

@@ -97,18 +97,6 @@ double measure_scope_cost_cycles() {
   return static_cast<double>(c1 - c0) / kIters;
 }
 
-void append_indent(std::string* out, int indent) {
-  out->append(static_cast<std::size_t>(indent < 0 ? 0 : indent), ' ');
-}
-
-std::string format_u64(std::uint64_t v) { return std::to_string(v); }
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
-
 }  // namespace
 
 std::uint64_t ProfileSnapshot::total_counts() const {
@@ -312,58 +300,6 @@ void write_collapsed_stacks(std::ostream& os, const ProfileSnapshot& snap) {
     }
     os << ' ' << path.cycles << '\n';
   }
-}
-
-std::string profile_json(const ProfileSnapshot& snap, int indent) {
-  std::string out = "{\n";
-  const int inner = indent + 2;
-  append_indent(&out, inner);
-  out += "\"enabled\": ";
-  out += snap.enabled ? "true" : "false";
-  out += ",\n";
-  append_indent(&out, inner);
-  out += "\"cycles_per_second\": " + format_double(snap.cycles_per_second) +
-         ",\n";
-  append_indent(&out, inner);
-  out += "\"scope_cost_cycles\": " + format_double(snap.scope_cost_cycles) +
-         ",\n";
-  append_indent(&out, inner);
-  out += "\"overhead_fraction\": " + format_double(snap.overhead_fraction()) +
-         ",\n";
-  append_indent(&out, inner);
-  out += "\"subsystems\": [\n";
-  bool first = true;
-  for (std::size_t s = 0; s < prof::kSubsystems; ++s) {
-    std::uint64_t count_total = 0;
-    for (std::size_t p = 0; p < prof::kPhases; ++p) {
-      count_total += snap.counts[p][s];
-    }
-    if (count_total == 0 && snap.cycles[s] == 0) continue;
-    if (!first) out += ",\n";
-    first = false;
-    append_indent(&out, inner + 2);
-    out += "{\"name\": \"";
-    out += prof::subsystem_name(static_cast<prof::Subsystem>(s));
-    out += "\", \"count\": " + format_u64(count_total);
-    out += ", \"cycles\": " + format_u64(snap.cycles[s]);
-    out += ", \"scope_entries\": " + format_u64(snap.scope_entries[s]) + "}";
-  }
-  out += "\n";
-  append_indent(&out, inner);
-  out += "],\n";
-  append_indent(&out, inner);
-  out += "\"phases\": {";
-  for (std::size_t p = 0; p < prof::kPhases; ++p) {
-    if (p > 0) out += ", ";
-    out += "\"";
-    out += prof::phase_name(static_cast<prof::Phase>(p));
-    out += "\": " +
-           format_u64(snap.total_counts(static_cast<prof::Phase>(p)));
-  }
-  out += "}\n";
-  append_indent(&out, indent);
-  out += "}";
-  return out;
 }
 
 }  // namespace softres::obs

@@ -5,13 +5,13 @@
 // the hot paths write into; this layer installs it for a trial, calibrates
 // the cycle counter against a real clock (legal here: obs is the clock-
 // exempt domain), snapshots results into an aggregatable value type, and
-// renders the three export formats the bench/CI pipeline consumes:
+// renders it three ways:
 //
 //   1. a text summary table            (render_profile_table)
-//   2. a collapsed-stack file          (write_collapsed_stacks) for
-//      flamegraph.pl / speedscope
-//   3. a JSON "profile" block          (profile_json) embedded in
-//      BENCH_softres.json for tools/bench_diff regression attribution
+//   2. a one-line summary              (one_line_profile_summary) for
+//      quickstart output and report footers
+//   3. a collapsed-stack file          (write_collapsed_stacks) for
+//      flamegraph.pl / speedscope, written by `bench_kernel --profile`
 //
 // Determinism split (DESIGN.md §11): ProfileSnapshot::counts is the
 // deterministic axis — safe to compare bit-for-bit across jobs=1/jobs=4.
@@ -99,10 +99,5 @@ std::string one_line_profile_summary(const ProfileSnapshot& snap);
 /// Collapsed-stack format: `frame;frame;frame <exclusive-cycles>` per line,
 /// sorted, suitable for flamegraph.pl or speedscope.
 void write_collapsed_stacks(std::ostream& os, const ProfileSnapshot& snap);
-
-/// JSON object (no trailing newline) for the "profile" key of
-/// BENCH_softres.json; tools/bench_diff parses this for its attribution
-/// table. `indent` is the number of leading spaces applied to every line.
-std::string profile_json(const ProfileSnapshot& snap, int indent = 2);
 
 }  // namespace softres::obs

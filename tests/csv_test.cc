@@ -55,6 +55,26 @@ TEST(CsvTest, ExportWritesFile) {
   std::remove(("/tmp/" + name).c_str());
 }
 
+TEST(CsvTest, EnvDirMustBeAnExistingDirectory) {
+  // Checked when read, so a bench fails before its first trial rather than
+  // at its first export.
+  for (const char* bad : {"/nonexistent_dir_softres", "/dev/null"}) {
+    ::setenv("SOFTRES_CSV_DIR", bad, 1);
+    std::string what;
+    try {
+      csv_dir_from_env();
+    } catch (const std::runtime_error& e) {
+      what = e.what();
+    }
+    ::unsetenv("SOFTRES_CSV_DIR");
+    EXPECT_NE(what.find("SOFTRES_CSV_DIR"), std::string::npos) << bad;
+    EXPECT_NE(what.find(bad), std::string::npos) << what;
+  }
+  ::setenv("SOFTRES_CSV_DIR", "", 1);
+  EXPECT_TRUE(csv_dir_from_env().empty());
+  ::unsetenv("SOFTRES_CSV_DIR");
+}
+
 TEST(CsvTest, ExportFailsOnBadDirectory) {
   EXPECT_THROW(export_csv("/nonexistent_dir_softres", "x.csv",
                           [](std::ostream&) {}),

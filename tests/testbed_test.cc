@@ -201,6 +201,34 @@ TEST(ExperimentOptionsTest, FromEnvRejectsNonNumericSeed) {
             std::string::npos);
 }
 
+TEST(ExperimentOptionsTest, FromEnvRejectsSwitchesOtherThanZeroOrOne) {
+  // Values a first-character test would misread: "10" as on, the rest as
+  // off.
+  for (const char* knob : {"SOFTRES_FULL", "SOFTRES_PROFILE"}) {
+    for (const char* bad : {"10", "yes", "on", "true", "", " 1", "01"}) {
+      const std::string what = from_env_error(knob, bad);
+      EXPECT_NE(what.find(knob), std::string::npos) << knob << "=" << bad;
+    }
+    EXPECT_EQ(from_env_error(knob, "0"), "") << knob;
+    EXPECT_EQ(from_env_error(knob, "1"), "") << knob;
+  }
+}
+
+TEST(ExperimentOptionsTest, FromEnvOverlaysSwitchesOnTheBase) {
+  ExperimentOptions base;
+  base.client.runtime_s = 60.0;
+  base.profile = true;
+  EXPECT_EQ(ExperimentOptions::from_env(base).client.runtime_s, 60.0);
+  EXPECT_TRUE(ExperimentOptions::from_env(base).profile);
+  ::setenv("SOFTRES_FULL", "1", 1);
+  ::setenv("SOFTRES_PROFILE", "0", 1);
+  const ExperimentOptions opts = ExperimentOptions::from_env(base);
+  ::unsetenv("SOFTRES_FULL");
+  ::unsetenv("SOFTRES_PROFILE");
+  EXPECT_EQ(opts.client.runtime_s, 720.0);
+  EXPECT_FALSE(opts.profile);
+}
+
 TEST(ExperimentOptionsTest, FromEnvRejectsTraceRateOutsideUnitInterval) {
   for (const char* bad : {"1.5", "-0.1", "2", "inf"}) {
     const std::string what = from_env_error("SOFTRES_TRACE_RATE", bad);
